@@ -19,8 +19,16 @@
 //! baseline and the GALS processor share all pipeline code and differ only
 //! in channel construction — mirroring how the paper's two simulators share
 //! the SimpleScalar pipeline model.
-
-use std::collections::VecDeque;
+//!
+//! ## Layout
+//!
+//! A channel is one power-of-two ring of `(item, pushed_at)` pairs (items
+//! are `Copy`), so a push or pop is an index update with no per-item
+//! allocation. Slots freed by pops and squashes go into a second ring of
+//! full-flag expiry times, but only when the backward delay is non-zero:
+//! a **zero-delay free** is visible to the producer at the very instant it
+//! is made, and simulation time never runs backwards, so latches, pausible
+//! latches and rendezvous ports never record one.
 
 use gals_events::Time;
 
@@ -52,12 +60,6 @@ impl ChannelStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Slot<T> {
-    item: T,
-    pushed_at: Time,
-}
-
 /// A bounded point-to-point channel between two clock domains.
 ///
 /// Use [`Channel::sync_latch`] for the synchronous baseline and
@@ -79,9 +81,20 @@ struct Slot<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Channel<T> {
-    slots: VecDeque<Slot<T>>,
-    /// Slots freed by pops but not yet visible to the producer's full flag.
-    frees_pending: VecDeque<Time>,
+    /// Ring of `(item, pushed_at)`; the live items are the `len` slots
+    /// from `head` on (indices masked by `mask`). Grows by `Vec::push`
+    /// up to `mask + 1` slots, then slots are overwritten in place.
+    ring: Vec<(T, Time)>,
+    head: usize,
+    len: usize,
+    mask: usize,
+    /// Ring of instants at which freed slots become visible to the
+    /// producer's full flag, oldest first. Allocated (and ever written)
+    /// only when `bwd_delay > 0`: a zero-delay free is visible at the
+    /// instant it is made, so it would expire before anyone could read it.
+    frees: Vec<Time>,
+    free_head: usize,
+    free_len: usize,
     capacity: usize,
     /// Forward (empty-flag) synchronisation delay.
     fwd_delay: Time,
@@ -92,7 +105,7 @@ pub struct Channel<T> {
     stats: ChannelStats,
 }
 
-impl<T> Channel<T> {
+impl<T: Copy> Channel<T> {
     /// A synchronous pipeline latch of the given capacity: an item pushed at
     /// edge `t` is poppable at any strictly later edge, and a freed slot is
     /// reusable immediately.
@@ -149,10 +162,22 @@ impl<T> Channel<T> {
 
     fn with_delays(capacity: usize, fwd_delay: Time, bwd_delay: Time) -> Self {
         assert!(capacity > 0, "channel capacity must be non-zero");
+        let size = capacity.next_power_of_two();
         Channel {
-            slots: VecDeque::with_capacity(capacity),
-            // At most one pending full-flag synchronisation per slot.
-            frees_pending: VecDeque::with_capacity(capacity),
+            ring: Vec::with_capacity(size),
+            head: 0,
+            len: 0,
+            mask: size - 1,
+            // At most one pending full-flag synchronisation per slot: a pop
+            // or flush moves a slot from `len` to `free_len`, and a push
+            // needs `len + free_len < capacity`.
+            frees: if bwd_delay > Time::ZERO {
+                vec![Time::ZERO; size]
+            } else {
+                Vec::new()
+            },
+            free_head: 0,
+            free_len: 0,
             capacity,
             fwd_delay,
             bwd_delay,
@@ -168,12 +193,12 @@ impl<T> Channel<T> {
 
     /// Items currently stored (whether or not yet visible).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// True when no items are stored.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Statistics.
@@ -181,14 +206,32 @@ impl<T> Channel<T> {
         self.stats
     }
 
+    /// The ring index of the `k`-th live item (0 = oldest).
+    #[inline]
+    fn slot(&self, k: usize) -> usize {
+        (self.head + k) & self.mask
+    }
+
+    /// Records a freed slot that the producer sees only after the backward
+    /// delay. A zero-delay free is not recorded (see the `frees` field).
+    #[inline]
+    fn note_free(&mut self, now: Time) {
+        if self.bwd_delay > Time::ZERO {
+            let i = (self.free_head + self.free_len) & self.mask;
+            self.frees[i] = now + self.bwd_delay;
+            self.free_len += 1;
+        }
+    }
+
     /// Drops full-flag synchronisations that have completed by `now`.
-    /// `frees_pending` is sorted (simulation time is globally monotonic and
+    /// The free ring is sorted (simulation time is globally monotonic and
     /// the backward delay is a per-channel constant), so expiry only ever
-    /// pops from the front.
+    /// advances its head.
     #[inline]
     fn expire_frees(&mut self, now: Time) {
-        while matches!(self.frees_pending.front(), Some(&f) if f <= now) {
-            self.frees_pending.pop_front();
+        while self.free_len > 0 && self.frees[self.free_head] <= now {
+            self.free_head = (self.free_head + 1) & self.mask;
+            self.free_len -= 1;
         }
     }
 
@@ -199,20 +242,20 @@ impl<T> Channel<T> {
     /// every candidate push on the simulator's hot path.
     pub fn can_push(&mut self, now: Time) -> bool {
         self.expire_frees(now);
-        self.slots.len() + self.frees_pending.len() < self.capacity
+        self.len + self.free_len < self.capacity
     }
 
-    /// Earliest time a consumer edge may observe a slot pushed at `at`.
+    /// True if an item pushed at `pushed_at` may pop at `now`: visible
+    /// (`now >= pushed_at + fwd_delay`) and strictly after the push.
     #[inline]
-    fn visible_from(&self, at: Time) -> Time {
-        at + self.fwd_delay
+    fn poppable(&self, pushed_at: Time, now: Time) -> bool {
+        pushed_at + self.fwd_delay <= now && pushed_at < now
     }
 
     /// Number of items a consumer edge at `now` could pop.
     pub fn visible(&self, now: Time) -> usize {
-        self.slots
-            .iter()
-            .take_while(|s| self.visible_from(s.pushed_at) <= now && s.pushed_at < now)
+        (0..self.len)
+            .take_while(|&k| self.poppable(self.ring[self.slot(k)].1, now))
             .count()
     }
 
@@ -224,16 +267,20 @@ impl<T> Channel<T> {
     /// capacity (the producer stalls, exactly like a full pipeline stage).
     pub fn try_push(&mut self, item: T, now: Time) -> Result<(), T> {
         self.expire_frees(now);
-        if self.slots.len() + self.frees_pending.len() >= self.capacity {
+        if self.len + self.free_len >= self.capacity {
             self.stats.full_stalls += 1;
             return Err(item);
         }
-        self.slots.push_back(Slot {
-            item,
-            pushed_at: now,
-        });
+        let i = self.slot(self.len);
+        if i == self.ring.len() {
+            // Still filling the ring for the first time (see `ring`).
+            self.ring.push((item, now));
+        } else {
+            self.ring[i] = (item, now);
+        }
+        self.len += 1;
         self.stats.pushes += 1;
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.slots.len());
+        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.len);
         Ok(())
     }
 
@@ -250,16 +297,20 @@ impl<T> Channel<T> {
     /// the channel (pop time minus push time). The pipeline simulator uses
     /// this to attribute slip to FIFO residency (the paper's Figure 7).
     pub fn try_pop_timed(&mut self, now: Time) -> Option<(T, Time)> {
-        let front = self.slots.front()?;
-        if self.visible_from(front.pushed_at) > now || front.pushed_at >= now {
+        if self.len == 0 {
             return None;
         }
-        let slot = self.slots.pop_front().expect("front exists");
+        let (item, pushed_at) = self.ring[self.head];
+        if !self.poppable(pushed_at, now) {
+            return None;
+        }
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
         self.stats.pops += 1;
-        let residency = now - slot.pushed_at;
+        let residency = now - pushed_at;
         self.stats.residency += residency;
-        self.frees_pending.push_back(now + self.bwd_delay);
-        Some((slot.item, residency))
+        self.note_free(now);
+        Some((item, residency))
     }
 
     /// The earliest edge of a *periodic consumer* (first edge at `phase`,
@@ -293,40 +344,41 @@ impl<T> Channel<T> {
     /// for callers that first test whether a pop could possibly be due.
     #[inline]
     pub fn front_pop_bound(&self) -> Option<Time> {
-        let front = self.slots.front()?;
-        Some(
-            self.visible_from(front.pushed_at)
-                .max(front.pushed_at + Time::from_fs(1)),
-        )
+        if self.len == 0 {
+            return None;
+        }
+        let pushed_at = self.ring[self.head].1;
+        Some((pushed_at + self.fwd_delay).max(pushed_at + Time::from_fs(1)))
     }
 
     /// Peeks the oldest visible item without removing it.
     pub fn peek(&self, now: Time) -> Option<&T> {
-        let front = self.slots.front()?;
-        if self.visible_from(front.pushed_at) > now || front.pushed_at >= now {
+        if self.len == 0 {
             return None;
         }
-        Some(&front.item)
+        let (item, pushed_at) = &self.ring[self.head];
+        self.poppable(*pushed_at, now).then_some(item)
     }
 
     /// Removes items for which `keep` returns `false` (squash support);
     /// freed slots synchronise back to the producer after the backward
     /// delay, measured from `now`. Returns the number removed.
     pub fn flush_where(&mut self, now: Time, mut keep: impl FnMut(&T) -> bool) -> usize {
-        let before = self.slots.len();
-        // Retain in place (order-preserving); no replacement deque is
-        // allocated per squash.
-        let frees = &mut self.frees_pending;
-        let freed_at = now + self.bwd_delay;
-        self.slots.retain(|slot| {
-            if keep(&slot.item) {
-                true
+        // Compact the kept items towards the head in place, preserving
+        // their order; nothing is allocated per squash.
+        let mut kept = 0;
+        for k in 0..self.len {
+            let from = self.slot(k);
+            if keep(&self.ring[from].0) {
+                let to = self.slot(kept);
+                self.ring[to] = self.ring[from];
+                kept += 1;
             } else {
-                frees.push_back(freed_at);
-                false
+                self.note_free(now);
             }
-        });
-        let removed = before - self.slots.len();
+        }
+        let removed = self.len - kept;
+        self.len = kept;
         self.stats.flushed += removed as u64;
         removed
     }
@@ -339,7 +391,7 @@ impl<T> Channel<T> {
     /// Iterates over stored items oldest-first (diagnostics; ignores
     /// visibility).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().map(|s| &s.item)
+        (0..self.len).map(|k| &self.ring[self.slot(k)].0)
     }
 }
 

@@ -115,6 +115,11 @@ struct ClusterState {
     ready: ReadyBits,
     /// `(done_at_local_cycle, seq, id)` of instructions in execution.
     executing: Vec<(u64, u64, InstrId)>,
+    /// A lower bound on the earliest `done_at_local_cycle` in `executing`
+    /// (`u64::MAX` when nothing executes): writeback scans `executing`
+    /// only from this cycle on. Squashes leave it stale-low, which only
+    /// costs one scan.
+    next_done: u64,
     /// Local cycle counter.
     cycle: u64,
     /// Per-tick scratch: instructions finishing execution this cycle,
@@ -144,6 +149,7 @@ impl ClusterState {
             // steady-state loop allocation-free even when a burst of
             // long-latency misses piles up.
             executing: Vec::with_capacity(rob_size),
+            next_done: u64::MAX,
             cycle: 0,
             finished_scratch: Vec::with_capacity(rob_size),
             picked_scratch: Vec::with_capacity(2 * fu_count as usize),
@@ -490,7 +496,12 @@ impl<'p> Pipeline<'p> {
         }
     }
 
-    fn make_channel<T>(cfg: &ProcessorConfig, from: Domain, to: Domain, cap: usize) -> Channel<T> {
+    fn make_channel<T: Copy>(
+        cfg: &ProcessorConfig,
+        from: Domain,
+        to: Domain,
+        cap: usize,
+    ) -> Channel<T> {
         match &cfg.clocking {
             Clocking::Synchronous(_) => Channel::sync_latch(cap),
             Clocking::Gals(clocks) => {
@@ -1779,18 +1790,24 @@ impl<'p> Pipeline<'p> {
         // 2. Writeback of finished executions. The scratch buffer lives in
         // the cluster and is moved out for the duration of the walk so
         // `writeback(&mut self)` can run while it is held.
-        let cycle = self.clusters[ci].cycle;
-        let mut finished = std::mem::take(&mut self.clusters[ci].finished_scratch);
+        let cl = &mut self.clusters[ci];
+        let cycle = cl.cycle;
+        let mut finished = std::mem::take(&mut cl.finished_scratch);
         finished.clear();
-        self.clusters[ci].executing.retain(|&(done, seq, id)| {
-            if done <= cycle {
-                finished.push((seq, id));
-                false
-            } else {
-                true
-            }
-        });
-        finished.sort_unstable_by_key(|&(seq, _)| seq);
+        if cycle >= cl.next_done {
+            let mut next_done = u64::MAX;
+            cl.executing.retain(|&(done, seq, id)| {
+                if done <= cycle {
+                    finished.push((seq, id));
+                    false
+                } else {
+                    next_done = next_done.min(done);
+                    true
+                }
+            });
+            cl.next_done = next_done;
+            finished.sort_unstable_by_key(|&(seq, _)| seq);
+        }
         if self.rendezvous {
             // Rendezvous mode: a writeback pushes into single-entry ports
             // (wakeup broadcasts, the completion notice, possibly the
@@ -1964,10 +1981,11 @@ impl<'p> Pipeline<'p> {
         let issued = picked.len() as u32;
         self.issued_total += u64::from(issued);
         self.issued_wrong_path += wrong_path_issues;
+        let cl = &mut self.clusters[ci];
         for &(token, seq, lat) in &admitted {
-            self.clusters[ci]
-                .executing
-                .push((cycle + lat.max(1), seq, InstrId::from_bits(token)));
+            let done = cycle + lat.max(1);
+            cl.next_done = cl.next_done.min(done);
+            cl.executing.push((done, seq, InstrId::from_bits(token)));
         }
         admitted.clear();
         picked.clear();

@@ -9,10 +9,13 @@
 //! periodic clocks admits a constant-time scheduler with no queue at all.
 //!
 //! [`ClockSet`] keeps one `(next_edge, period, priority)` record per clock
-//! in a fixed inline array and advances by a branchless min-scan over at
-//! most [`MAX_CLOCKS`] entries. There is no allocation after construction,
-//! no dynamic dispatch, and no cancellation bookkeeping; the caller decides
-//! when to stop ticking.
+//! in a fixed inline array and advances by a min-scan over at most
+//! [`MAX_CLOCKS`] entries. The records are kept in **priority order** (a
+//! slot↔position permutation, set up by [`ClockSet::add_clock`], maps the
+//! caller's slot numbers onto them), so the scan compares one `Time` per
+//! entry and the first minimum it meets is the `(time, priority)` winner.
+//! There is no allocation after construction, no dynamic dispatch, and no
+//! cancellation bookkeeping; the caller decides when to stop ticking.
 //!
 //! Edge ordering matches the engine's `(time, priority)` order. The
 //! two-scheduler contract requires every clock to carry a **distinct
@@ -71,7 +74,7 @@ struct ClockEntry {
 }
 
 const IDLE: ClockEntry = ClockEntry {
-    // An empty slot never wins the min-scan.
+    // An empty position never wins the min-scan.
     next: Time::MAX,
     period: Time::MAX,
     priority: Priority::MAX,
@@ -82,6 +85,12 @@ const IDLE: ClockEntry = ClockEntry {
 ///
 /// See the [crate docs](crate) for the design rationale and the ordering
 /// contract relative to [`Engine`](crate::Engine).
+///
+/// Every per-clock array is indexed by **position** — the clock's rank in
+/// ascending priority order — not by the slot number the caller sees, so
+/// the min-scan needs one `Time` compare per entry: the first (lowest
+/// position, hence highest-priority) minimum wins a tie. `slot_at` and
+/// `pos_of` translate between the two numberings at the API boundary.
 #[derive(Debug, Clone)]
 pub struct ClockSet {
     entries: [ClockEntry; MAX_CLOCKS],
@@ -91,20 +100,24 @@ pub struct ClockSet {
     /// The real next-edge time of a parked clock (its entry holds
     /// [`Time::MAX`] so the min-scan skips it); see [`ClockSet::park`].
     shadow_next: [Time; MAX_CLOCKS],
-    /// Park flags per slot.
+    /// Park flags per position.
     parked: [bool; MAX_CLOCKS],
     /// Uniform-period rotation fast path (see [`ClockSet::enable_uniform`]):
-    /// unparked slots in dispatch order. With every clock sharing one
+    /// unparked positions in dispatch order. With every clock sharing one
     /// period, the `(time, priority)` dispatch order within a cycle is a
     /// fixed rotation — no min-scan needed per edge.
     rot: [u8; MAX_CLOCKS],
     rot_len: u8,
     rot_pos: u8,
     uniform: bool,
-    /// Edges of a slot to silently elide in rotation mode (the caller's
-    /// [`ClockSet::skip`] fast-forward); the general path advances `next`
-    /// directly instead.
+    /// Edges of a position to silently elide in rotation mode (the
+    /// caller's [`ClockSet::skip`] fast-forward); the general path advances
+    /// `next` directly instead.
     skip_credit: [u64; MAX_CLOCKS],
+    /// The caller's slot number of each position.
+    slot_at: [u8; MAX_CLOCKS],
+    /// The position of each slot.
+    pos_of: [u8; MAX_CLOCKS],
     len: usize,
     now: Time,
     edges: u64,
@@ -129,6 +142,8 @@ impl ClockSet {
             rot_pos: 0,
             uniform: false,
             skip_credit: [0; MAX_CLOCKS],
+            slot_at: [0; MAX_CLOCKS],
+            pos_of: [0; MAX_CLOCKS],
             len: 0,
             now: Time::ZERO,
             edges: 0,
@@ -137,7 +152,8 @@ impl ClockSet {
 
     /// Registers a clock whose first edge is at `phase` and which then fires
     /// every `period`. Returns the clock's slot index (reported back by
-    /// [`ClockSet::tick`] and the batch dispatchers).
+    /// [`ClockSet::tick`] and the batch dispatchers): slots number clocks
+    /// in registration order, whatever their priorities.
     ///
     /// # Panics
     ///
@@ -160,13 +176,35 @@ impl ClockSet {
             "duplicate clock priority {priority}: the two-scheduler ordering \
              contract requires a distinct priority per clock"
         );
+        debug_assert!(!self.uniform, "add_clock after enable_uniform");
         let slot = self.len;
-        self.entries[slot] = ClockEntry {
+        // Insert at the new clock's priority rank, moving every
+        // lower-priority clock (and its state) one position down.
+        let pos = self.entries[..self.len]
+            .iter()
+            .take_while(|e| e.priority < priority)
+            .count();
+        let end = self.len + 1;
+        self.entries[pos..end].rotate_right(1);
+        self.deferred[pos..end].rotate_right(1);
+        self.shadow_next[pos..end].rotate_right(1);
+        self.parked[pos..end].rotate_right(1);
+        self.skip_credit[pos..end].rotate_right(1);
+        self.slot_at[pos..end].rotate_right(1);
+        self.entries[pos] = ClockEntry {
             next: phase,
             period,
             priority,
         };
-        self.len += 1;
+        self.deferred[pos] = Time::ZERO;
+        self.shadow_next[pos] = Time::MAX;
+        self.parked[pos] = false;
+        self.skip_credit[pos] = 0;
+        self.slot_at[pos] = slot as u8;
+        self.len = end;
+        for p in 0..self.len {
+            self.pos_of[self.slot_at[p] as usize] = p as u8;
+        }
         slot
     }
 
@@ -192,17 +230,30 @@ impl ClockSet {
         self.edges
     }
 
-    /// The slot winning the `(next, priority, slot)` min-scan. The loop is a
-    /// fixed-trip conditional-move scan over at most [`MAX_CLOCKS`] records —
-    /// no heap, no branch misprediction cliff.
+    /// The position of a registered slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `what` if `slot` is not registered.
     #[inline]
-    fn min_slot(&self) -> usize {
+    fn pos(&self, slot: usize, what: &str) -> usize {
+        assert!(slot < self.len, "{what} of unregistered clock slot {slot}");
+        self.pos_of[slot] as usize
+    }
+
+    /// The position winning the `(next, priority)` min-scan. Positions are
+    /// in priority order, so a single `Time` compare per entry suffices:
+    /// the first minimum found is the highest-priority one. A fixed-trip
+    /// scan over at most [`MAX_CLOCKS`] records — no heap.
+    #[inline]
+    fn min_pos(&self) -> usize {
         let mut best = 0usize;
-        for i in 1..self.len {
-            let e = &self.entries[i];
-            let b = &self.entries[best];
-            let better = (e.next, e.priority) < (b.next, b.priority);
-            best = if better { i } else { best };
+        let mut best_next = self.entries[0].next;
+        for (p, e) in self.entries[..self.len].iter().enumerate().skip(1) {
+            if e.next < best_next {
+                best = p;
+                best_next = e.next;
+            }
         }
         best
     }
@@ -213,8 +264,16 @@ impl ClockSet {
         if self.len == 0 {
             return None;
         }
-        let s = self.min_slot();
-        Some((self.entries[s].next, s))
+        let p = self.min_pos();
+        Some((self.entries[p].next, self.slot_at[p] as usize))
+    }
+
+    /// Dispatches the edge at position `p` (its time is `t`): advances the
+    /// clock by one period plus any deferred stretch.
+    #[inline]
+    fn advance(&mut self, p: usize, t: Time) {
+        self.entries[p].next = t + self.entries[p].period + std::mem::take(&mut self.deferred[p]);
+        self.edges += 1;
     }
 
     /// Dispatches the single earliest edge, returning its `(time, slot)`.
@@ -227,17 +286,16 @@ impl ClockSet {
         if self.len == 0 {
             return None;
         }
-        let s = self.min_slot();
-        let t = self.entries[s].next;
+        let p = self.min_pos();
+        let t = self.entries[p].next;
         assert!(
             t != Time::MAX,
             "every clock is parked: the simulated system deadlocked while \
              still running (a quiescent domain was never woken)"
         );
-        self.entries[s].next = t + self.entries[s].period + std::mem::take(&mut self.deferred[s]);
+        self.advance(p, t);
         self.now = t;
-        self.edges += 1;
-        Some((t, s))
+        Some((t, self.slot_at[p] as usize))
     }
 
     /// Requests a one-shot stretch of a clock: its first edge strictly after
@@ -252,9 +310,9 @@ impl ClockSet {
     ///
     /// Panics if `slot` is not a registered clock.
     pub fn stretch(&mut self, slot: usize, extra: Time) {
-        assert!(slot < self.len, "stretch of unregistered clock slot {slot}");
+        let p = self.pos(slot, "stretch");
         debug_assert!(
-            !self.parked[slot],
+            !self.parked[p],
             "stretch of a parked clock: every transfer that stretches a \
              domain must first wake it (see the idle-tick elision contract)"
         );
@@ -262,10 +320,10 @@ impl ClockSet {
             return;
         }
         self.disable_uniform();
-        if self.entries[slot].next > self.now {
-            self.entries[slot].next += extra;
+        if self.entries[p].next > self.now {
+            self.entries[p].next += extra;
         } else {
-            self.deferred[slot] += extra;
+            self.deferred[p] += extra;
         }
     }
 
@@ -278,15 +336,15 @@ impl ClockSet {
     ///
     /// Panics if `slot` is not a registered clock or is parked.
     pub fn skip(&mut self, slot: usize, n: u64) {
-        assert!(slot < self.len, "skip of unregistered clock slot {slot}");
-        assert!(!self.parked[slot], "skip of a parked clock");
+        let p = self.pos(slot, "skip");
+        assert!(!self.parked[p], "skip of a parked clock");
         if self.uniform {
-            // Rotation mode: elide the slot's next `n` rotation turns
-            // lazily, keeping every slot's stored edge within one period
+            // Rotation mode: elide the clock's next `n` rotation turns
+            // lazily, keeping every clock's stored edge within one period
             // window so the rotation order stays valid.
-            self.skip_credit[slot] += n;
+            self.skip_credit[p] += n;
         } else {
-            self.entries[slot].next += self.entries[slot].period * n;
+            self.entries[p].next += self.entries[p].period * n;
         }
     }
 
@@ -319,36 +377,34 @@ impl ClockSet {
             return;
         }
         self.uniform = false;
-        for s in 0..self.len {
-            let credit = std::mem::take(&mut self.skip_credit[s]);
+        for p in 0..self.len {
+            let credit = std::mem::take(&mut self.skip_credit[p]);
             if credit > 0 {
-                self.entries[s].next += self.entries[s].period * credit;
+                self.entries[p].next += self.entries[p].period * credit;
             }
         }
     }
 
-    /// Rebuilds the rotation order over unparked slots, earliest `(next,
-    /// priority)` first. Relative order is invariant under whole-period
-    /// advances, so this only runs at park/unpark transitions.
+    /// Rebuilds the rotation order over unparked positions, earliest
+    /// `(next, priority)` first. Relative order is invariant under
+    /// whole-period advances, so this only runs at park/unpark transitions.
     fn rebuild_rotation(&mut self) {
         let mut order: [u8; MAX_CLOCKS] = [0; MAX_CLOCKS];
         let mut n = 0usize;
-        for s in 0..self.len {
-            if !self.parked[s] {
-                order[n] = s as u8;
+        for p in 0..self.len {
+            if !self.parked[p] {
+                order[n] = p as u8;
                 n += 1;
             }
         }
-        order[..n].sort_unstable_by_key(|&s| {
-            let e = &self.entries[s as usize];
-            (e.next, e.priority)
-        });
+        // Positions are in priority order, so the position breaks ties.
+        order[..n].sort_unstable_by_key(|&p| (self.entries[p as usize].next, p));
         self.rot = order;
         self.rot_len = n as u8;
         self.rot_pos = 0;
     }
 
-    /// Rotation-mode dispatch: the next unparked slot in rotation order,
+    /// Rotation-mode dispatch: the next unparked clock in rotation order,
     /// consuming skip credits along the way.
     #[inline]
     fn tick_rotation(&mut self) -> (Time, usize) {
@@ -358,21 +414,21 @@ impl ClockSet {
                 "every clock is parked: the simulated system deadlocked while \
                  still running (a quiescent domain was never woken)"
             );
-            let s = self.rot[self.rot_pos as usize] as usize;
+            let p = self.rot[self.rot_pos as usize] as usize;
             self.rot_pos += 1;
             if self.rot_pos == self.rot_len {
                 self.rot_pos = 0;
             }
-            let e = &mut self.entries[s];
+            let e = &mut self.entries[p];
             let t = e.next;
             e.next = t + e.period;
-            if self.skip_credit[s] > 0 {
-                self.skip_credit[s] -= 1;
+            if self.skip_credit[p] > 0 {
+                self.skip_credit[p] -= 1;
                 continue;
             }
             self.now = t;
             self.edges += 1;
-            return (t, s);
+            return (t, self.slot_at[p] as usize);
         }
     }
 
@@ -387,20 +443,20 @@ impl ClockSet {
     /// Panics if `slot` is not a registered clock, or (debug builds) if it
     /// is already parked or has a pending deferred stretch.
     pub fn park(&mut self, slot: usize) {
-        assert!(slot < self.len, "park of unregistered clock slot {slot}");
-        debug_assert!(!self.parked[slot], "clock slot {slot} is already parked");
+        let p = self.pos(slot, "park");
+        debug_assert!(!self.parked[p], "clock slot {slot} is already parked");
         debug_assert_eq!(
-            self.deferred[slot],
+            self.deferred[p],
             Time::ZERO,
             "parking a clock with a deferred stretch would drop the stretch"
         );
         debug_assert_eq!(
-            self.skip_credit[slot], 0,
+            self.skip_credit[p], 0,
             "parking a clock with pending skipped edges"
         );
-        self.shadow_next[slot] = self.entries[slot].next;
-        self.entries[slot].next = Time::MAX;
-        self.parked[slot] = true;
+        self.shadow_next[p] = self.entries[p].next;
+        self.entries[p].next = Time::MAX;
+        self.parked[p] = true;
         if self.uniform {
             self.rebuild_rotation();
         }
@@ -409,20 +465,34 @@ impl ClockSet {
     /// True while the slot is parked.
     #[inline]
     pub fn is_parked(&self, slot: usize) -> bool {
-        self.parked[slot]
+        slot < self.len && self.parked[self.pos_of[slot] as usize]
     }
 
-    /// Number of grid edges of a parked slot in `[shadow_next, now)` — the
-    /// edges elided so far.
-    fn elided_before_now(&self, slot: usize) -> (u64, Time) {
-        let start = self.shadow_next[slot];
-        let period = self.entries[slot].period;
-        if start > self.now {
-            return (0, start);
+    /// Re-arms the parked clock at position `p`, returning `(elided,
+    /// next)`: the grid edges in `[shadow_next, now)`, plus the edge at
+    /// exactly `now` when this clock's priority orders it before position
+    /// `before` (that edge has conceptually fired already).
+    fn rearm(&mut self, p: usize, before: usize) -> (u64, Time) {
+        let start = self.shadow_next[p];
+        let period = self.entries[p].period;
+        let (mut elided, mut next) = if start > self.now {
+            (0, start)
+        } else {
+            let delta = self.now.as_fs() - start.as_fs();
+            let k = delta.div_ceil(period.as_fs());
+            (k, start + period * k)
+        };
+        if next == self.now && p < before {
+            elided += 1;
+            next += period;
         }
-        let delta = self.now.as_fs() - start.as_fs();
-        let k = delta.div_ceil(period.as_fs());
-        (k, start + period * k)
+        self.entries[p].next = next;
+        self.shadow_next[p] = Time::MAX;
+        self.parked[p] = false;
+        if self.uniform {
+            self.rebuild_rotation();
+        }
+        (elided, next)
     }
 
     /// Unparks a clock that slot `waker` just woke (by pushing it work at
@@ -440,21 +510,9 @@ impl ClockSet {
     /// Panics if either slot is unregistered or `slot` is not parked.
     pub fn unpark(&mut self, slot: usize, waker: usize) -> (u64, Time) {
         assert!(slot < self.len && waker < self.len, "unregistered slot");
-        assert!(self.parked[slot], "unpark of a clock that is not parked");
-        let (mut elided, mut next) = self.elided_before_now(slot);
-        if next == self.now && self.entries[slot].priority < self.entries[waker].priority {
-            // The woken clock's edge at `now` was ordered before the
-            // waker's: it has conceptually already fired as a no-op.
-            elided += 1;
-            next += self.entries[slot].period;
-        }
-        self.entries[slot].next = next;
-        self.shadow_next[slot] = Time::MAX;
-        self.parked[slot] = false;
-        if self.uniform {
-            self.rebuild_rotation();
-        }
-        (elided, next)
+        let p = self.pos_of[slot] as usize;
+        assert!(self.parked[p], "unpark of a clock that is not parked");
+        self.rearm(p, self.pos_of[waker] as usize)
     }
 
     /// Unparks a clock at the *end of a run*, returning the edges the
@@ -470,26 +528,15 @@ impl ClockSet {
     /// Panics if either slot is unregistered or `slot` is not parked.
     pub fn drain_parked(&mut self, slot: usize, stop: usize) -> (u64, Time) {
         assert!(slot < self.len && stop < self.len, "unregistered slot");
-        assert!(self.parked[slot], "drain of a clock that is not parked");
-        let (mut elided, mut next) = self.elided_before_now(slot);
-        if next == self.now && self.entries[slot].priority < self.entries[stop].priority {
-            elided += 1;
-            next += self.entries[slot].period;
-        }
-        self.entries[slot].next = next;
-        self.shadow_next[slot] = Time::MAX;
-        self.parked[slot] = false;
-        if self.uniform {
-            self.rebuild_rotation();
-        }
-        (elided, next)
+        let p = self.pos_of[slot] as usize;
+        assert!(self.parked[p], "drain of a clock that is not parked");
+        self.rearm(p, self.pos_of[stop] as usize)
     }
 
     /// Dispatches **all** edges sharing the earliest timestamp in ascending
-    /// `(priority, slot)` order with one callback per edge, amortising the
-    /// min-scan across the batch. For the fully synchronous machine (five
-    /// domains, one period and phase) this coalesces every time step into a
-    /// single scan + five dispatches.
+    /// priority order with one callback per edge. For the fully
+    /// synchronous machine (five domains, one period and phase) this
+    /// coalesces every time step into a single call.
     ///
     /// `dispatch(slot, time)` returns `false` to stop mid-batch; remaining
     /// same-time edges stay pending (exactly like the general engine halting
@@ -502,7 +549,7 @@ impl ClockSet {
         if self.len == 0 {
             return None;
         }
-        let first = self.min_slot();
+        let first = self.min_pos();
         let t = self.entries[first].next;
         assert!(
             t != Time::MAX,
@@ -511,14 +558,12 @@ impl ClockSet {
         );
         self.now = t;
         loop {
-            let s = self.min_slot();
-            if self.entries[s].next != t {
+            let p = self.min_pos();
+            if self.entries[p].next != t {
                 return Some(t);
             }
-            self.entries[s].next =
-                t + self.entries[s].period + std::mem::take(&mut self.deferred[s]);
-            self.edges += 1;
-            if !dispatch(s, t) {
+            self.advance(p, t);
+            if !dispatch(self.slot_at[p] as usize, t) {
                 return Some(t);
             }
         }

@@ -21,9 +21,10 @@
 //!   heap pop, a re-push of a boxed handler, and cancellation bookkeeping.
 //! * [`ClockSet`] — the static fast path for *purely periodic* clock sets
 //!   (the pipeline's actual workload: five free-running domain clocks).
-//!   One inline `(next_edge, period, priority)` record per clock, a
-//!   branchless min-scan instead of a heap, zero allocation and zero
-//!   dynamic dispatch per edge, and batched dispatch of simultaneous edges.
+//!   One inline `(next_edge, period, priority)` record per clock, kept in
+//!   priority order so that a min-scan with one time compare per clock
+//!   replaces the heap, zero allocation and zero dynamic dispatch per
+//!   edge, and batched dispatch of simultaneous edges.
 //!
 //! Both order edges by `(time, priority)`; for clocks with distinct
 //! priorities the two produce identical edge sequences, which is pinned by

@@ -4,6 +4,16 @@
 use gals_events::{ClockSet, Control, Engine, Time};
 use proptest::prelude::*;
 
+/// The priority of clock `i`: its index, or (`shuffled`) a distinct value
+/// drawn from `keys` that puts the clocks out of slot order.
+fn priority(i: usize, keys: &[i32], shuffled: bool) -> i32 {
+    if shuffled {
+        keys[i] * 8 + i as i32
+    } else {
+        i as i32
+    }
+}
+
 proptest! {
     /// Whatever order one-shot events are inserted in, they execute in
     /// non-decreasing (time, priority) order and the engine clock never
@@ -66,18 +76,24 @@ proptest! {
     /// identical `(time, clock)` edge sequence for any set of periodic
     /// clocks with distinct priorities — the ordering contract `simulate()`
     /// relies on when it drives the pipeline through the fast path.
+    ///
+    /// Half the cases register the clocks with priorities out of slot
+    /// order, which exercises the ClockSet's slot↔position permutation.
     #[test]
     fn clockset_matches_engine_edge_for_edge(
         specs in prop::collection::vec((0u64..4_000, 1u64..4_000), 1..6),
+        keys in prop::collection::vec(-50i32..50, 6),
+        shuffled in any::<bool>(),
         horizon in 4_000u64..40_000,
     ) {
-        // Engine path: one periodic event per clock, priority = index.
+        let prio = |i: usize| priority(i, &keys, shuffled);
+        // Engine path: one periodic event per clock.
         let mut engine: Engine<Vec<(u64, usize)>> = Engine::new();
         for (i, &(phase, period)) in specs.iter().enumerate() {
             engine.schedule_periodic(
                 Time::from_fs(phase),
                 Time::from_fs(period),
-                i as i32,
+                prio(i),
                 move |log: &mut Vec<(u64, usize)>, e| {
                     log.push((e.now().as_fs(), i));
                     Control::Keep
@@ -90,7 +106,7 @@ proptest! {
         // ClockSet path, single-edge ticking.
         let mut cs = ClockSet::new();
         for (i, &(phase, period)) in specs.iter().enumerate() {
-            cs.add_clock(Time::from_fs(phase), Time::from_fs(period), i as i32);
+            cs.add_clock(Time::from_fs(phase), Time::from_fs(period), prio(i));
         }
         let mut cs_log = Vec::new();
         while let Some((t, _)) = cs.peek() {
@@ -105,7 +121,7 @@ proptest! {
         // Batched dispatch must flatten to the same sequence.
         let mut batched = ClockSet::new();
         for (i, &(phase, period)) in specs.iter().enumerate() {
-            batched.add_clock(Time::from_fs(phase), Time::from_fs(period), i as i32);
+            batched.add_clock(Time::from_fs(phase), Time::from_fs(period), prio(i));
         }
         let mut batch_log = Vec::new();
         batched.run_until(Time::from_fs(horizon), |slot, t| batch_log.push((t.as_fs(), slot)));
@@ -122,9 +138,12 @@ proptest! {
     fn clockset_matches_engine_under_random_stretches(
         specs in prop::collection::vec((0u64..4_000, 1u64..4_000), 1..6),
         stretches in prop::collection::vec((0usize..8, 0u64..6_000), 0..60),
+        keys in prop::collection::vec(-50i32..50, 6),
+        shuffled in any::<bool>(),
         horizon in 4_000u64..40_000,
     ) {
         let n = specs.len();
+        let prio = |i: usize| priority(i, &keys, shuffled);
 
         // Engine path, stepped one event at a time so the k-th stretch
         // request lands right after the k-th dispatched edge.
@@ -134,7 +153,7 @@ proptest! {
             ids.push(engine.schedule_periodic(
                 Time::from_fs(phase),
                 Time::from_fs(period),
-                i as i32,
+                prio(i),
                 move |log: &mut Vec<(u64, usize)>, e| {
                     log.push((e.now().as_fs(), i));
                     Control::Keep
@@ -157,7 +176,7 @@ proptest! {
         // ClockSet path, identical drive.
         let mut cs = ClockSet::new();
         for (i, &(phase, period)) in specs.iter().enumerate() {
-            cs.add_clock(Time::from_fs(phase), Time::from_fs(period), i as i32);
+            cs.add_clock(Time::from_fs(phase), Time::from_fs(period), prio(i));
         }
         let mut cs_log = Vec::new();
         let mut k = 0usize;

@@ -116,63 +116,60 @@ impl Iterator for DynStream<'_> {
         let flat = program.flat_index(block, index) as usize;
         let n = self.exec_counts[flat];
         self.exec_counts[flat] += 1;
-
-        let pc = program.pc_of(block, index);
         let seed = program.seed();
 
         let mut taken = false;
         let mut mem_addr = None;
-        let next_pc;
-
-        match inst.op {
+        // The successor comes from the block's own edges rather than from
+        // locating the next PC: blocks are never empty (the builder rejects
+        // them), so a successor block's first instruction is exactly the
+        // instruction at its start PC.
+        let taken_edge = || Some((bb.taken.expect("validated taken edge"), 0));
+        let fallthrough = bb.fallthrough.map(|b| (b, 0));
+        let next = match inst.op {
             OpClass::BranchCond => {
                 let behavior = program.branch_behavior(inst.branch.expect("validated"));
                 taken = behavior.outcome(seed, flat as u64, n);
-                next_pc = if taken {
-                    program
-                        .taken_target_pc(block)
-                        .expect("validated taken edge")
+                if taken {
+                    taken_edge()
                 } else {
-                    program.fallthrough_pc(block)
-                };
+                    fallthrough
+                }
             }
             OpClass::Jump => {
                 taken = true;
-                next_pc = program
-                    .taken_target_pc(block)
-                    .expect("validated taken edge");
+                taken_edge()
             }
             OpClass::Call => {
                 taken = true;
                 if let Some(ret_to) = bb.fallthrough {
                     self.call_stack.push(ret_to);
                 }
-                next_pc = program
-                    .taken_target_pc(block)
-                    .expect("validated taken edge");
+                taken_edge()
             }
+            // Returning with an empty stack exits the program, like
+            // returning from main.
             OpClass::Ret => {
                 taken = true;
-                next_pc = match self.call_stack.pop() {
-                    Some(ret_block) => program.block_start_pc(ret_block),
-                    // Returning with an empty stack exits the program, like
-                    // returning from main.
-                    None => EXIT_PC,
-                };
+                self.call_stack.pop().map(|b| (b, 0))
             }
-            OpClass::Load | OpClass::Store => {
-                let behavior = program.mem_behavior(inst.mem.expect("validated"));
-                mem_addr = Some(behavior.address(seed, flat as u64, n));
-                next_pc = program.next_sequential_pc(block, index);
+            op => {
+                if matches!(op, OpClass::Load | OpClass::Store) {
+                    let behavior = program.mem_behavior(inst.mem.expect("validated"));
+                    mem_addr = Some(behavior.address(seed, flat as u64, n));
+                }
+                if (index as usize) + 1 < bb.insts.len() {
+                    Some((block, index + 1))
+                } else {
+                    fallthrough
+                }
             }
-            _ => {
-                next_pc = program.next_sequential_pc(block, index);
-            }
-        }
-
+        };
+        self.cursor = next;
+        let next_pc = next.map_or(EXIT_PC, |(b, i)| program.pc_of(b, i));
         let dyn_inst = DynInst {
             seq: self.seq,
-            pc,
+            pc: program.pc_of(block, index),
             block,
             index,
             op: inst.op,
@@ -181,7 +178,6 @@ impl Iterator for DynStream<'_> {
             mem_addr,
         };
         self.seq += 1;
-        self.cursor = program.locate(next_pc).map(|(b, i, _)| (b, i));
         Some(dyn_inst)
     }
 }

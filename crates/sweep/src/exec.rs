@@ -32,8 +32,9 @@ use std::time::{Duration, Instant};
 
 use crate::cache::{CacheStats, Lookup, ResultCache};
 use crate::{
-    default_run_timeout, journal, lock_unpoisoned, panic_message, run_point, stable_hash, RunKey,
-    RunRecord, RunSpec, RunStatus, SweepOptions, SweepRequest, SweepResponse, SweepResults,
+    default_run_timeout, journal, lock_unpoisoned, panic_message, run_point, stable_hash,
+    ProgramSlot, RunKey, RunRecord, RunSpec, RunStatus, SweepOptions, SweepRequest, SweepResponse,
+    SweepResults,
 };
 
 /// How often the in-order emitter and the drain paths re-check the
@@ -299,6 +300,7 @@ struct ReqState {
     // per-sweep handle reported.
     stores: AtomicU64,
     evictions: AtomicU64,
+    programs: Arc<ProgramSlot>,
 }
 
 impl ReqState {
@@ -445,6 +447,7 @@ impl SweepExecutor {
             simulated: AtomicUsize::new(0),
             stores: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            programs: Arc::new(ProgramSlot::default()),
         });
         for i in 0..run_count {
             if matches!(lock_unpoisoned(&state.slots)[i], Slot::Empty) {
@@ -553,7 +556,7 @@ fn run_job(state: &Arc<ReqState>, i: usize) {
                     }
                 }
                 let record = catch_unwind(AssertUnwindSafe(|| {
-                    run_point(spec, &state.opts, state.timeout)
+                    run_point(spec, &state.programs, &state.opts, state.timeout)
                 }))
                 .unwrap_or_else(|payload| {
                     RunRecord::failed(

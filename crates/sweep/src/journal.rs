@@ -178,14 +178,15 @@ fn parse_u64(v: &Json, key: &str, line_no: usize) -> Result<u64, String> {
 }
 
 fn parse_f64(v: &Json, key: &str, line_no: usize) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Json::Num(f)) => Ok(*f),
-        Some(other) => Err(format!(
+    let value = v
+        .get(key)
+        .ok_or_else(|| format!("journal line {line_no}: missing {key:?}"))?;
+    value.as_f64().ok_or_else(|| {
+        format!(
             "journal line {line_no}: {key} must be a number, got {}",
-            other.type_name()
-        )),
-        None => Err(format!("journal line {line_no}: missing {key:?}")),
-    }
+            value.type_name()
+        )
+    })
 }
 
 fn parse_str<'a>(v: &'a Json, key: &str, line_no: usize) -> Result<&'a str, String> {

@@ -205,7 +205,7 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gals_analysis::checks;
@@ -214,7 +214,7 @@ use gals_core::{
     simulate, DeadlockReport, DvfsPlan, PortState, ProcessorConfig, SimError, SimLimits, SimReport,
 };
 use gals_events::Time;
-use gals_workload::{generate_workload, Benchmark, Workload};
+use gals_workload::{generate_workload, Benchmark, Program, Workload};
 
 pub use gals_analysis::{Finding, Severity};
 
@@ -675,7 +675,8 @@ impl RunSpec {
     /// appropriate [`RunStatus`] instead of aborting; panic and
     /// wall-clock isolation live one layer up, in [`run_sweep_with`].
     pub fn run(&self) -> RunRecord {
-        self.run_with_limits(SimLimits::insts(self.budget))
+        let program = generate_workload(self.benchmark, self.workload_seed);
+        self.run_program(&program, SimLimits::insts(self.budget))
     }
 
     /// Static pre-flight findings for this point under its default run
@@ -704,9 +705,10 @@ impl RunSpec {
         gals_core::analyze(&self.config(), limits).findings
     }
 
-    fn run_with_limits(&self, limits: SimLimits) -> RunRecord {
-        let program = generate_workload(self.benchmark, self.workload_seed);
-        match simulate(&program, self.config(), limits) {
+    /// Simulates this point over `program`, which must be this spec's
+    /// workload (`generate_workload(self.benchmark, self.workload_seed)`).
+    fn run_program(&self, program: &Program, limits: SimLimits) -> RunRecord {
+        match simulate(program, self.config(), limits) {
             Ok(report) => RunRecord::new(self, &report),
             Err(SimError::Deadlock(report)) => {
                 RunRecord::failed(self, RunStatus::Deadlocked { report })
@@ -1264,11 +1266,42 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The most recently built workload program of one request, keyed by
+/// `(workload, workload_seed)`. Points arrive in benchmark-major order, so
+/// this one slot builds each workload of a sweep once instead of once per
+/// point (a `prog:` kernel is parsed and executed to a trace). It belongs
+/// to the request, not the process: every point runs on a fresh thread
+/// (which builds the program when the slot lacks it, inside the point's
+/// panic and deadline isolation), and concurrent requests never share or
+/// evict each other's programs.
+#[derive(Default)]
+pub(crate) struct ProgramSlot(Mutex<Option<(Workload, u64, Arc<Program>)>>);
+
+impl ProgramSlot {
+    /// The program of `workload` at `seed`, built if the slot holds
+    /// another one.
+    fn get(&self, workload: Workload, seed: u64) -> Arc<Program> {
+        let mut slot = lock_unpoisoned(&self.0);
+        if let Some((w, s, program)) = slot.as_ref() {
+            if *w == workload && *s == seed {
+                return Arc::clone(program);
+            }
+        }
+        // Release the previous program before building the next, so the
+        // slot never holds two (runs still in flight keep theirs).
+        *slot = None;
+        let program = Arc::new(generate_workload(workload, seed));
+        *slot = Some((workload, seed, Arc::clone(&program)));
+        program
+    }
+}
+
 /// One fully isolated run attempt: its own thread (panics cannot take the
 /// worker down), `catch_unwind` (the payload becomes the record), and a
 /// wall-clock deadline (an overrunning thread is detached, not joined).
 fn run_isolated(
     spec: &RunSpec,
+    programs: Arc<ProgramSlot>,
     limits: SimLimits,
     timeout: Duration,
     inject_panic: bool,
@@ -1286,7 +1319,8 @@ fn run_isolated(
                 if inject_panic {
                     panic!("chaos: injected panic at matrix point {}", spec_owned.index);
                 }
-                spec_owned.run_with_limits(limits)
+                let program = programs.get(spec_owned.benchmark, spec_owned.workload_seed);
+                spec_owned.run_program(&program, limits)
             }));
             // The receiver may be gone already (deadline hit): that run
             // was recorded as timed out; its late result is dropped.
@@ -1347,8 +1381,14 @@ pub fn check_matrix(matrix: &SweepMatrix, opts: &SweepOptions) -> Vec<(RunSpec, 
 }
 
 /// One matrix point end to end: fault arming (chaos builds), the isolated
-/// attempt, and the retry loop. Returns the final outcome.
-fn run_point(spec: &RunSpec, opts: &SweepOptions, timeout: Duration) -> RunRecord {
+/// attempt, and the retry loop. Returns the final outcome. The spec's
+/// workload comes from the request's `programs` slot.
+fn run_point(
+    spec: &RunSpec,
+    programs: &Arc<ProgramSlot>,
+    opts: &SweepOptions,
+    timeout: Duration,
+) -> RunRecord {
     let limits = armed_limits(spec, opts);
     #[cfg(feature = "chaos")]
     let (inject_panic, stall_ms) = (
@@ -1360,7 +1400,14 @@ fn run_point(spec: &RunSpec, opts: &SweepOptions, timeout: Duration) -> RunRecor
 
     let mut attempt = 0;
     loop {
-        let record = run_isolated(spec, limits, timeout, inject_panic, stall_ms);
+        let record = run_isolated(
+            spec,
+            Arc::clone(programs),
+            limits,
+            timeout,
+            inject_panic,
+            stall_ms,
+        );
         if record.status.is_ok() || attempt >= opts.retries {
             return record;
         }
@@ -1997,6 +2044,25 @@ mod tests {
             retries: 0,
             run_timeout_ms: None,
         }
+    }
+
+    #[test]
+    fn the_program_slot_builds_once_per_workload_run() {
+        let slot = ProgramSlot::default();
+        let gcc = Workload::Profile(Benchmark::Gcc);
+        let kernel = Workload::Kernel(gals_workload::ProgramKernel::GccLike);
+        let first = slot.get(kernel, 1);
+        assert!(Arc::ptr_eq(&first, &slot.get(kernel, 1)));
+        // Another seed or workload replaces the slot's program...
+        let other_seed = slot.get(kernel, 2);
+        assert!(!Arc::ptr_eq(&first, &other_seed));
+        assert!(Arc::ptr_eq(&other_seed, &slot.get(kernel, 2)));
+        let profile = slot.get(gcc, 2);
+        assert_eq!(*profile, generate_workload(gcc, 2));
+        // ...and coming back rebuilds the same program.
+        let again = slot.get(kernel, 1);
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(*again, *first);
     }
 
     #[test]

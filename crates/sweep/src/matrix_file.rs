@@ -59,7 +59,10 @@ use crate::{DvfsPoint, ModePoint, SweepMatrix, WORKLOAD_SEED};
 pub(crate) enum Json {
     Null,
     Bool(bool),
-    Num(f64),
+    /// A number, kept as its validated source literal so that integers
+    /// read back exactly (an `f64` holds only 53 bits): read it with
+    /// [`Json::as_f64`] or [`u64_value`].
+    Num(String),
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
@@ -74,6 +77,15 @@ impl Json {
             Json::Str(_) => "string",
             Json::Arr(_) => "array",
             Json::Obj(_) => "object",
+        }
+    }
+
+    /// The value of a number, rounded to the nearest `f64`; `None` for
+    /// anything that is not a number.
+    pub(crate) fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(literal) => literal.parse().ok(),
+            _ => None,
         }
     }
 
@@ -196,8 +208,8 @@ impl<'a> Parser<'a> {
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
+            .filter(|s| s.parse::<f64>().is_ok())
+            .map(|s| Json::Num(s.to_string()))
             .ok_or_else(|| self.err("malformed number"))
     }
 
@@ -342,13 +354,13 @@ fn dvfs_from_json(v: &Json) -> Result<DvfsPoint, String> {
             }
             let mut slowdown = [0.0; 5];
             for (i, item) in items.iter().enumerate() {
-                match item {
-                    Json::Num(f) if *f >= 1.0 => slowdown[i] = *f,
-                    Json::Num(f) => return Err(format!("dvfs {label:?}: slowdown {f} below 1.0")),
-                    other => {
+                match item.as_f64() {
+                    Some(f) if f >= 1.0 => slowdown[i] = f,
+                    Some(f) => return Err(format!("dvfs {label:?}: slowdown {f} below 1.0")),
+                    None => {
                         return Err(format!(
                             "dvfs {label:?}: slowdown entries must be numbers, got {}",
-                            other.type_name()
+                            item.type_name()
                         ))
                     }
                 }
@@ -362,14 +374,33 @@ fn dvfs_from_json(v: &Json) -> Result<DvfsPoint, String> {
     }
 }
 
+/// Reads a JSON integer literal as an exact `u64`. `what` names the field
+/// in the error, which rejects fractions, exponents, negative values,
+/// values above `u64::MAX` and non-numbers alike.
+pub(crate) fn u64_value(v: &Json, what: &str) -> Result<u64, String> {
+    match v {
+        Json::Num(literal) if literal.bytes().all(|b| b.is_ascii_digit()) => {
+            literal.parse().map_err(|_| {
+                format!(
+                    "{what} {literal} is out of range (the largest allowed is {})",
+                    u64::MAX
+                )
+            })
+        }
+        Json::Num(literal) => Err(format!(
+            "{what} must be a non-negative integer, got {literal}"
+        )),
+        other => Err(format!(
+            "{what} must be a non-negative integer, got {}",
+            other.type_name()
+        )),
+    }
+}
+
 pub(crate) fn u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(f)) if *f >= 0.0 && f.fract() == 0.0 => Ok(Some(*f as u64)),
-        Some(other) => Err(format!(
-            "{key} must be a non-negative integer, got {}",
-            other.type_name()
-        )),
+        Some(value) => u64_value(value, key).map(Some),
     }
 }
 
@@ -438,15 +469,7 @@ pub(crate) fn matrix_from_value(root: &Json, default_budget: u64) -> Result<Swee
     }
     let mut phase_seeds = Vec::new();
     for item in list("phase_seeds")? {
-        match item {
-            Json::Num(f) if *f >= 0.0 && f.fract() == 0.0 => phase_seeds.push(*f as u64),
-            other => {
-                return Err(format!(
-                    "phase_seeds entries must be non-negative integers, got {}",
-                    other.type_name()
-                ))
-            }
-        }
+        phase_seeds.push(u64_value(item, "phase_seeds entry")?);
     }
 
     let retries = match u64_field(root, "retries")? {
@@ -548,5 +571,68 @@ mod tests {
         assert!(e.contains("unknown benchmark"), "{e}");
         let e = matrix_from_json("{", 1).unwrap_err();
         assert!(e.contains("JSON error"), "{e}");
+    }
+
+    fn with_fields(fields: &str) -> String {
+        format!(r#"{{"benchmarks": ["gcc"], "modes": ["gals"], "dvfs": ["nominal"], {fields}}}"#)
+    }
+
+    #[test]
+    fn integers_are_read_exactly() {
+        // 2^53 + 1 has no f64 representation: it used to come back as
+        // 2^53, so two distinct seeds shared one run key and cache blob.
+        let m = matrix_from_json(
+            &with_fields(
+                r#""phase_seeds": [9007199254740993, 9007199254740992],
+                   "workload_seed": 18446744073709551615, "budget": 9007199254740993"#,
+            ),
+            1,
+        )
+        .expect("valid file");
+        assert_eq!(
+            m.phase_seeds,
+            vec![9_007_199_254_740_993, 9_007_199_254_740_992]
+        );
+        assert_eq!(m.workload_seed, u64::MAX);
+        assert_eq!(m.budget, 9_007_199_254_740_993);
+        let specs = m.expand();
+        assert_ne!(specs[0].key(), specs[1].key());
+        // The rendered file reads back to the same matrix.
+        assert_eq!(matrix_from_json(&m.to_matrix_json(), 1).unwrap(), m);
+    }
+
+    #[test]
+    fn inexact_integers_are_rejected_by_name() {
+        for (fields, field, shown) in [
+            (r#""phase_seeds": [1.5]"#, "phase_seeds entry", "1.5"),
+            (r#""phase_seeds": [-3]"#, "phase_seeds entry", "-3"),
+            (
+                r#""phase_seeds": [18446744073709551616]"#,
+                "phase_seeds entry",
+                "out of range",
+            ),
+            (r#""phase_seeds": ["7"]"#, "phase_seeds entry", "string"),
+            (
+                r#""phase_seeds": [1], "workload_seed": 2.5"#,
+                "workload_seed",
+                "2.5",
+            ),
+            (
+                r#""phase_seeds": [1], "workload_seed": -1"#,
+                "workload_seed",
+                "-1",
+            ),
+            (
+                r#""phase_seeds": [1], "workload_seed": 18446744073709551616"#,
+                "workload_seed",
+                "out of range",
+            ),
+            (r#""phase_seeds": [1], "budget": 6e4"#, "budget", "6e4"),
+            (r#""phase_seeds": [1], "retries": 1.0"#, "retries", "1.0"),
+        ] {
+            let e = matrix_from_json(&with_fields(fields), 1).unwrap_err();
+            assert!(e.starts_with(field), "{fields}: {e}");
+            assert!(e.contains(shown), "{fields}: {e}");
+        }
     }
 }

@@ -34,8 +34,13 @@ impl IqEntry {
         self.nwait == 0
     }
 
+    /// Removes every occurrence of `tag` from the outstanding set.
+    /// Returns true when this made the entry ready.
     #[inline]
-    fn drop_tag(&mut self, tag: PhysReg) {
+    fn drop_tag(&mut self, tag: PhysReg) -> bool {
+        if self.nwait == 0 {
+            return false;
+        }
         let mut i = 0;
         while i < self.nwait as usize {
             if self.waiting[i] == tag {
@@ -45,6 +50,7 @@ impl IqEntry {
                 i += 1;
             }
         }
+        self.nwait == 0
     }
 }
 
@@ -83,7 +89,9 @@ impl IssueQueueStats {
 ///
 /// Entries are kept in **age order** (dispatch inserts in program order and
 /// removals preserve order), so oldest-first selection is a single forward
-/// scan — no per-cycle sort.
+/// scan — no per-cycle sort. The queue also counts its ready entries, so a
+/// wakeup with nothing waiting returns at once and selection stops at the
+/// last ready entry instead of walking the whole queue.
 ///
 /// # Examples
 ///
@@ -101,6 +109,9 @@ impl IssueQueueStats {
 pub struct IssueQueue {
     capacity: usize,
     entries: Vec<IqEntry>,
+    /// Entries with no outstanding source tag (`entries.len() - nready`
+    /// entries wait on at least one).
+    nready: usize,
     stats: IssueQueueStats,
     /// Selection scratch (indices picked this cycle), reused across cycles
     /// so steady-state selection allocates nothing.
@@ -118,6 +129,7 @@ impl IssueQueue {
         IssueQueue {
             capacity,
             entries: Vec::with_capacity(capacity),
+            nready: 0,
             stats: IssueQueueStats::default(),
             chosen_scratch: Vec::with_capacity(capacity),
         }
@@ -194,14 +206,18 @@ impl IssueQueue {
             entry.waiting[entry.nwait as usize] = tag;
             entry.nwait += 1;
         }
+        self.nready += usize::from(entry.is_ready());
         self.entries.push(entry);
         Ok(())
     }
 
     /// Broadcasts a completed producer tag, marking dependents ready.
     pub fn wakeup(&mut self, tag: PhysReg) {
+        if self.nready == self.entries.len() {
+            return;
+        }
         for e in &mut self.entries {
-            e.drop_tag(tag);
+            self.nready += usize::from(e.drop_tag(tag));
         }
     }
 
@@ -236,10 +252,16 @@ impl IssueQueue {
         // indices are collected.
         let mut chosen = std::mem::take(&mut self.chosen_scratch);
         chosen.clear();
+        let mut unseen = self.nready;
         for (i, e) in self.entries.iter().enumerate() {
+            if unseen == 0 {
+                // Past the last ready entry.
+                break;
+            }
             if !e.is_ready() {
                 continue;
             }
+            unseen -= 1;
             if chosen.len() == width as usize {
                 self.stats.width_stalls += 1;
                 break;
@@ -257,6 +279,7 @@ impl IssueQueue {
         for &i in chosen.iter().rev() {
             self.entries.remove(i);
         }
+        self.nready -= chosen.len();
         self.stats.issued += out.len() as u64;
         self.chosen_scratch = chosen;
     }
@@ -291,9 +314,11 @@ impl IssueQueue {
     /// ```
     pub fn squash_younger_into(&mut self, age: u64, out: &mut Vec<IqToken>) {
         out.clear();
+        let nready = &mut self.nready;
         self.entries.retain(|e| {
             if e.age > age {
                 out.push(e.token);
+                *nready -= usize::from(e.is_ready());
                 false
             } else {
                 true
@@ -443,5 +468,114 @@ mod tests {
         iq.insert(1, 0, vec![PhysReg(40), PhysReg(40)]).unwrap();
         iq.wakeup(PhysReg(40));
         assert_eq!(iq.select(4), vec![1]);
+    }
+
+    /// The readiness counts against a full recount, and the queue against
+    /// a plain model of the uncounted algorithms (every wakeup visits every
+    /// entry, every selection scans the whole queue), after each step of a
+    /// random sequence of inserts, wakeups, selections and squashes.
+    mod counts {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(token, age, outstanding tags)` per queued instruction.
+        type Model = Vec<(IqToken, u64, Vec<PhysReg>)>;
+
+        fn model_select(
+            model: &mut Model,
+            width: u32,
+            admit: impl Fn(IqToken) -> bool,
+        ) -> (Vec<IqToken>, bool) {
+            let mut picked = Vec::new();
+            let mut stalled = false;
+            for (token, _, waiting) in model.iter() {
+                if !waiting.is_empty() {
+                    continue;
+                }
+                if picked.len() == width as usize {
+                    stalled = true;
+                    break;
+                }
+                if admit(*token) {
+                    picked.push(*token);
+                }
+            }
+            model.retain(|(token, _, _)| !picked.contains(token));
+            (picked, stalled)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn ready_counts_match_a_full_recount(
+                capacity in 1usize..12,
+                ops in prop::collection::vec((0u8..4, 0u64..6, 0u64..6, 0u64..6), 1..200),
+            ) {
+                let mut iq = IssueQueue::new(capacity);
+                let mut model: Model = Vec::new();
+                let mut next_age = 0u64;
+                let mut width_stalls = 0u64;
+                for &(op, a, b, c) in &ops {
+                    match op {
+                        0 => {
+                            // Up to two outstanding tags, drawn from p0..p4
+                            // (5 means none).
+                            let tags: Vec<PhysReg> = [a, b]
+                                .into_iter()
+                                .filter(|&t| t < 5)
+                                .map(|t| PhysReg(t as u16))
+                                .collect();
+                            next_age += 1 + c;
+                            let token = next_age * 10;
+                            let res = iq.insert(token, next_age, tags.iter().copied());
+                            if model.len() < capacity {
+                                prop_assert_eq!(res, Ok(()));
+                                model.push((token, next_age, tags));
+                            } else {
+                                prop_assert_eq!(res, Err(token));
+                            }
+                        }
+                        1 => {
+                            let tag = PhysReg(a as u16);
+                            iq.wakeup(tag);
+                            for (_, _, waiting) in &mut model {
+                                waiting.retain(|&t| t != tag);
+                            }
+                        }
+                        2 => {
+                            let width = 1 + b as u32;
+                            // Refuse tokens whose age is a multiple of `c + 2`.
+                            let admit = |t: IqToken| !(t / 10).is_multiple_of(c + 2);
+                            let picked = iq.select_with(width, admit);
+                            let (want, stalled) = model_select(&mut model, width, admit);
+                            prop_assert_eq!(picked, want);
+                            width_stalls += u64::from(stalled);
+                        }
+                        _ => {
+                            let age = next_age.saturating_sub(a * 2);
+                            let squashed = iq.squash_younger(age);
+                            let want: Vec<IqToken> = model
+                                .iter()
+                                .filter(|(_, g, _)| *g > age)
+                                .map(|(t, _, _)| *t)
+                                .collect();
+                            model.retain(|(_, g, _)| *g <= age);
+                            prop_assert_eq!(squashed, want);
+                        }
+                    }
+                    let ready = iq.entries.iter().filter(|e| e.is_ready()).count();
+                    let waiting = iq.entries.iter().filter(|e| !e.is_ready()).count();
+                    prop_assert_eq!(iq.nready, ready);
+                    prop_assert_eq!(iq.entries.len() - iq.nready, waiting);
+                    let model_ready = model.iter().filter(|(_, _, w)| w.is_empty()).count();
+                    prop_assert_eq!(ready, model_ready);
+                    let tokens: Vec<IqToken> = iq.entries.iter().map(|e| e.token).collect();
+                    let model_tokens: Vec<IqToken> = model.iter().map(|(t, _, _)| *t).collect();
+                    prop_assert_eq!(tokens, model_tokens);
+                    prop_assert_eq!(iq.stats().width_stalls, width_stalls);
+                }
+            }
+        }
     }
 }

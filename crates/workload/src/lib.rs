@@ -32,6 +32,8 @@ mod kernels;
 pub mod micro;
 mod profile;
 
+/// The program type [`generate_workload`] returns.
+pub use gals_isa::Program;
 pub use gen::{generate, generate_profile};
 pub use kernels::{generate_workload, ProgramKernel, Workload};
 pub use profile::{Benchmark, Suite, WorkloadProfile};
